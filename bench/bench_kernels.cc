@@ -2,8 +2,9 @@
 // and typed hash join/aggregation.
 //
 // Four measurements over real engine paths:
-//   1. Predicate kernels: CompiledPredicate::Select vs the scalar
-//      EvaluateExpr path on an in-memory batch, swept over selectivity.
+//   1. Predicate kernels: CompiledPredicate::Select vs the row-at-a-time
+//      reference evaluator (tests/testing/reference_eval.h) on an
+//      in-memory batch, swept over selectivity.
 //   2. Fused decode+filter: a selective filter scan executed with
 //      fused_decode on vs off (same bill, fewer rows materialized).
 //   3. Runtime filters: a clustered fact ⋈ small dim join with filters
@@ -33,6 +34,7 @@
 #include "format/writer.h"
 #include "sql/parser.h"
 #include "storage/memory_store.h"
+#include "testing/reference_eval.h"
 
 using namespace pixels;
 
@@ -78,7 +80,7 @@ RowBatchPtr MakeKernelBatch(size_t rows) {
 }
 
 SelectionVector ScalarSelect(const Expr& pred, const RowBatch& batch) {
-  auto col = EvaluateExpr(pred, batch);
+  auto col = testing::ReferenceEvaluateExpr(pred, batch);
   SelectionVector sel;
   if (!col.ok()) return sel;
   for (size_t i = 0; i < (*col)->size(); ++i) {

@@ -9,10 +9,27 @@
 
 namespace pixels {
 
-/// Evaluates `expr` against every row of `batch`, returning a vector of
-/// the same length. Column references resolve by qualified name with the
-/// batch's relaxed matching rules.
-Result<ColumnVectorPtr> EvaluateExpr(const Expr& expr, const RowBatch& batch);
+/// Evaluates `expr` against every row of `batch` (or, when `sel` is
+/// non-null, only the rows it selects, in order), returning one value per
+/// row. Column references resolve by qualified name with the batch's
+/// relaxed matching rules, once per call. Column refs, literals,
+/// arithmetic, comparisons, AND/OR/NOT, IN, BETWEEN, IS [NOT] NULL, CASE
+/// and LIKE with a literal pattern run as flat loops over typed payloads;
+/// any other subtree sends the whole expression through EvaluateExprRow.
+/// Values, nulls, errors and the vector type are those of evaluating each
+/// row with EvaluateExprRow and building the vector with
+/// BuildVectorFromValues, except that a bare column reference returns the
+/// column itself.
+Result<ColumnVectorPtr> EvaluateExpr(const Expr& expr, const RowBatch& batch,
+                                     const SelectionVector* sel = nullptr);
+
+/// Evaluates a filter predicate over the rows of `sel` (every row when
+/// null) and returns those, in order, for which it is true: non-null and
+/// true under Value::AsBool, exactly as when testing each row's
+/// EvaluateExprRow value.
+Result<SelectionVector> EvaluatePredicate(const Expr& pred,
+                                          const RowBatch& batch,
+                                          const SelectionVector* sel);
 
 /// Evaluates `expr` for a single row.
 Result<Value> EvaluateExprRow(const Expr& expr, const RowBatch& batch,

@@ -303,14 +303,8 @@ Result<RowBatchPtr> HashJoinOperator::CombineAndFilter(
     filter = plan_.join_condition.get();
   }
   if (filter != nullptr && combined->num_rows() > 0) {
-    PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr mask,
-                            EvaluateExpr(*filter, *combined));
-    std::vector<uint32_t> sel;
-    for (size_t i = 0; i < mask->size(); ++i) {
-      if (!mask->IsNull(i) && mask->GetValue(i).AsBool()) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-    }
+    PIXELS_ASSIGN_OR_RETURN(SelectionVector sel,
+                            EvaluatePredicate(*filter, *combined, nullptr));
     if (sel.empty()) return RowBatchPtr(nullptr);
     combined = combined->Gather(sel);
   }

@@ -2,9 +2,8 @@
 // payload arrays of ColumnVector, producing reusable selection vectors —
 // no per-row Value boxing on the hot path. A predicate is "compiled" once
 // per operator (CompiledPredicate) by lowering its conjunct AST into a
-// kernel program; conjuncts outside the kernel shapes stay in a residual
-// expression evaluated row-wise on the survivors only, so EvaluateExpr
-// remains the general/fallback evaluator with identical semantics.
+// kernel program; conjuncts outside the kernel shapes combine into a
+// residual predicate that EvaluatePredicate runs on the survivors only.
 #pragma once
 
 #include <string>
@@ -21,8 +20,8 @@ namespace pixels {
 /// A filter predicate lowered into typed kernel steps. Kernel-shaped
 /// conjuncts (col op literal, BETWEEN, IN literal-list, IS [NOT] NULL,
 /// bare/NOT boolean column) evaluate as flat selection-refining loops;
-/// the rest combine into one residual expression evaluated per surviving
-/// row. Selection semantics match FilterOperator's scalar path exactly:
+/// the rest combine into one residual predicate evaluated over the
+/// surviving rows. Selection semantics match FilterOperator's scalar path exactly:
 /// a row passes when every conjunct is true (null is not true).
 class CompiledPredicate {
  public:
@@ -66,14 +65,6 @@ class CompiledPredicate {
   ExprPtr residual_;  // null when fully compiled
 };
 
-/// Vectorized expression evaluation for projections: column refs, literal
-/// broadcasts, unary minus, binary arithmetic and comparisons run as flat
-/// typed loops; any unsupported subtree falls back to EvaluateExpr for
-/// the whole expression. Results (values, nulls, and output vector type)
-/// are identical to EvaluateExpr.
-Result<ColumnVectorPtr> EvaluateExprVectorized(const Expr& expr,
-                                               const RowBatch& batch);
-
 /// Hashes every non-null row of a key column with the kind-tagged
 /// runtime-filter hash (flat per-type loops). Null rows get hash 0 and
 /// must be masked by the caller via the validity mask.
@@ -96,7 +87,8 @@ std::vector<uint64_t> HashKeyColumns(const std::vector<ColumnVectorPtr>& cols,
 /// known binary operators are total (division by zero yields NULL);
 /// functions and LIKE type-check per row and may error. Selection-aware
 /// operators evaluate such expressions over a batch's deselected rows
-/// without changing error behavior; anything else forces a gather first.
+/// without changing error behavior; anything else is evaluated on the
+/// selected rows only.
 bool ExprSafeToEvalUnselected(const Expr& expr);
 
 /// Keeps the rows of `sel` (or all rows when `sel` is null) whose key is

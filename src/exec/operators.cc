@@ -295,21 +295,20 @@ Result<SelBatch> ProjectOperator::NextSel() {
   if (in.batch == nullptr) return SelBatch{};
   // Project the full batch and forward the selection only when that is
   // semantically safe AND not wasteful: a sparse selection (< 1/4 of the
-  // rows) makes gathering once cheaper than evaluating deselected rows.
-  RowBatchPtr input = in.batch;
-  std::shared_ptr<SelectionVector> sel = in.sel;
-  if (sel != nullptr &&
-      (!selvec_safe_ || sel->size() * 4 < in.batch->num_rows())) {
-    input = in.Materialize();
-    sel = nullptr;
+  // rows) makes evaluating just the selected rows cheaper than
+  // evaluating deselected ones.
+  const SelectionVector* rows = nullptr;
+  if (in.sel != nullptr &&
+      (!selvec_safe_ || in.sel->size() * 4 < in.batch->num_rows())) {
+    rows = in.sel.get();
   }
   auto out = std::make_shared<RowBatch>();
   for (size_t i = 0; i < exprs_.size(); ++i) {
     PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                            EvaluateExprVectorized(*exprs_[i], *input));
+                            EvaluateExpr(*exprs_[i], *in.batch, rows));
     out->AddColumn(names_[i], std::move(col));
   }
-  return SelBatch{std::move(out), std::move(sel)};
+  return SelBatch{std::move(out), rows != nullptr ? nullptr : in.sel};
 }
 
 Result<RowBatchPtr> LimitOperator::Next() {

@@ -108,7 +108,8 @@ class ProjectOperator : public Operator {
   Result<RowBatchPtr> Next() override;
   /// Selection-aware path: when every expression is total (cannot error
   /// on a deselected row) and the selection is not too sparse, projects
-  /// the full batch and forwards the selection; otherwise gathers first.
+  /// the full batch and forwards the selection; otherwise evaluates only
+  /// the selected rows.
   Result<SelBatch> NextSel() override;
   void Close() override { child_->Close(); }
 

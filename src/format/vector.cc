@@ -103,6 +103,78 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t i) {
   }
 }
 
+void ColumnVector::AppendAll(const ColumnVector& other) {
+  const bool same_class =
+      (type_ == TypeId::kDouble) == (other.type_ == TypeId::kDouble) &&
+      (type_ == TypeId::kString) == (other.type_ == TypeId::kString);
+  if (!same_class) {
+    Reserve(size() + other.size());
+    for (size_t i = 0; i < other.size(); ++i) AppendFrom(other, i);
+    return;
+  }
+  const size_t base = size();
+  valid_.insert(valid_.end(), other.valid_.begin(), other.valid_.end());
+  ints_.insert(ints_.end(), other.ints_.begin(), other.ints_.end());
+  doubles_.insert(doubles_.end(), other.doubles_.begin(), other.doubles_.end());
+  strings_.insert(strings_.end(), other.strings_.begin(), other.strings_.end());
+  null_count_ += other.null_count_;
+  if (other.null_count_ == 0) return;
+  // AppendFrom writes a zero/empty payload for nulls; so does the copy.
+  for (size_t i = base; i < valid_.size(); ++i) {
+    if (valid_[i]) continue;
+    if (type_ == TypeId::kDouble) {
+      doubles_[i] = 0;
+    } else if (type_ == TypeId::kString) {
+      strings_[i].clear();
+    } else {
+      ints_[i] = 0;
+    }
+  }
+}
+
+namespace {
+
+/// Zeroes the payload of null rows and counts them.
+template <typename T>
+size_t ZeroNulls(std::vector<T>* values, const std::vector<uint8_t>& valid) {
+  size_t nulls = 0;
+  for (size_t i = 0; i < valid.size(); ++i) {
+    if (valid[i]) continue;
+    (*values)[i] = T();
+    ++nulls;
+  }
+  return nulls;
+}
+
+}  // namespace
+
+std::shared_ptr<ColumnVector> ColumnVector::FromInts(
+    TypeId type, std::vector<int64_t> values, std::vector<uint8_t> valid) {
+  auto out = std::make_shared<ColumnVector>(type);
+  out->null_count_ = ZeroNulls(&values, valid);
+  out->ints_ = std::move(values);
+  out->valid_ = std::move(valid);
+  return out;
+}
+
+std::shared_ptr<ColumnVector> ColumnVector::FromDoubles(
+    std::vector<double> values, std::vector<uint8_t> valid) {
+  auto out = std::make_shared<ColumnVector>(TypeId::kDouble);
+  out->null_count_ = ZeroNulls(&values, valid);
+  out->doubles_ = std::move(values);
+  out->valid_ = std::move(valid);
+  return out;
+}
+
+std::shared_ptr<ColumnVector> ColumnVector::FromStrings(
+    std::vector<std::string> values, std::vector<uint8_t> valid) {
+  auto out = std::make_shared<ColumnVector>(TypeId::kString);
+  out->null_count_ = ZeroNulls(&values, valid);
+  out->strings_ = std::move(values);
+  out->valid_ = std::move(valid);
+  return out;
+}
+
 void ColumnVector::Reserve(size_t n) {
   valid_.reserve(n);
   if (type_ == TypeId::kDouble) {

@@ -49,6 +49,21 @@ class ColumnVector {
   /// Appends row `i` of `other` (must be the same type).
   void AppendFrom(const ColumnVector& other, size_t i);
 
+  /// Appends every row of `other`, exactly as AppendFrom row by row; one
+  /// bulk copy when both vectors share a payload class.
+  void AppendAll(const ColumnVector& other);
+
+  /// Builds a vector straight from dense payload and validity arrays of
+  /// equal length (`type` must use the int64 payload). Null rows'
+  /// payload slots are zeroed.
+  static std::shared_ptr<ColumnVector> FromInts(TypeId type,
+                                                std::vector<int64_t> values,
+                                                std::vector<uint8_t> valid);
+  static std::shared_ptr<ColumnVector> FromDoubles(std::vector<double> values,
+                                                   std::vector<uint8_t> valid);
+  static std::shared_ptr<ColumnVector> FromStrings(
+      std::vector<std::string> values, std::vector<uint8_t> valid);
+
   void Reserve(size_t n);
   void Clear();
 

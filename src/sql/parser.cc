@@ -6,6 +6,13 @@ namespace pixels {
 
 namespace {
 
+/// Deepest expression nesting accepted. Each parenthesis, function
+/// argument, CASE part, IN item, NOT, sign and chained binary operator
+/// counts a level, so the recursion of the parser and of everything that
+/// walks the tree it returns (binder, optimizer, evaluators) stays within
+/// a thread's stack, also in sanitizer builds, whose frames are larger.
+constexpr int kMaxExprDepth = 256;
+
 /// Token-stream parser. Grammar layering (loosest to tightest):
 /// or_expr > and_expr > not_expr > comparison > additive > multiplicative
 /// > unary > primary.
@@ -66,6 +73,27 @@ class Parser {
     if (!ConsumeOp(op)) {
       return Err(std::string("expected '") + op + "', got '" + Peek().text +
                  "'");
+    }
+    return Status::OK();
+  }
+
+  /// Restores the nesting depth when a parse function returns.
+  class DepthScope {
+   public:
+    explicit DepthScope(int* depth) : depth_(depth), saved_(*depth) {}
+    ~DepthScope() { *depth_ = saved_; }
+
+   private:
+    int* depth_;
+    int saved_;
+  };
+
+  /// Enters one more level of nesting.
+  Status Nest() {
+    if (++depth_ > kMaxExprDepth) {
+      return Status::InvalidArgument(
+          "expression nested deeper than " + std::to_string(kMaxExprDepth) +
+          " levels (at offset " + std::to_string(Peek().offset) + ")");
     }
     return Status::OK();
   }
@@ -183,11 +211,17 @@ class Parser {
     return ref;
   }
 
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    DepthScope scope(&depth_);
+    PIXELS_RETURN_NOT_OK(Nest());
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
+    DepthScope scope(&depth_);
     PIXELS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (ConsumeKeyword("OR")) {
+      PIXELS_RETURN_NOT_OK(Nest());
       PIXELS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
       lhs = MakeBinary("OR", std::move(lhs), std::move(rhs));
     }
@@ -195,8 +229,10 @@ class Parser {
   }
 
   Result<ExprPtr> ParseAnd() {
+    DepthScope scope(&depth_);
     PIXELS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (ConsumeKeyword("AND")) {
+      PIXELS_RETURN_NOT_OK(Nest());
       PIXELS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
       lhs = MakeBinary("AND", std::move(lhs), std::move(rhs));
     }
@@ -205,6 +241,8 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (ConsumeKeyword("NOT")) {
+      DepthScope scope(&depth_);
+      PIXELS_RETURN_NOT_OK(Nest());
       PIXELS_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
       return MakeUnary("NOT", std::move(operand));
     }
@@ -275,9 +313,11 @@ class Parser {
   }
 
   Result<ExprPtr> ParseAdditive() {
+    DepthScope scope(&depth_);
     PIXELS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     while (Peek().IsOp("+") || Peek().IsOp("-") || Peek().IsOp("||")) {
       std::string op = Advance().text;
+      PIXELS_RETURN_NOT_OK(Nest());
       PIXELS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
@@ -285,9 +325,11 @@ class Parser {
   }
 
   Result<ExprPtr> ParseMultiplicative() {
+    DepthScope scope(&depth_);
     PIXELS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     while (Peek().IsOp("*") || Peek().IsOp("/") || Peek().IsOp("%")) {
       std::string op = Advance().text;
+      PIXELS_RETURN_NOT_OK(Nest());
       PIXELS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
@@ -295,7 +337,9 @@ class Parser {
   }
 
   Result<ExprPtr> ParseUnary() {
+    DepthScope scope(&depth_);
     if (ConsumeOp("-")) {
+      PIXELS_RETURN_NOT_OK(Nest());
       PIXELS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       // Fold negative literals.
       if (operand->kind == Expr::Kind::kLiteral &&
@@ -310,7 +354,10 @@ class Parser {
       }
       return MakeUnary("-", std::move(operand));
     }
-    if (ConsumeOp("+")) return ParseUnary();
+    if (ConsumeOp("+")) {
+      PIXELS_RETURN_NOT_OK(Nest());
+      return ParseUnary();
+    }
     return ParsePrimary();
   }
 
@@ -425,6 +472,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

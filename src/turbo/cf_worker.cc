@@ -4,6 +4,7 @@
 
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "format/footer_cache.h"
 #include "format/writer.h"
 #include "plan/fingerprint.h"
 #include "storage/retrying_storage.h"
@@ -392,11 +393,17 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
                             ExecutePlan(worker_plans[w], &worker_ctx));
     if (options.intermediate_store != nullptr) {
       // Worker results land in object storage (paper: S3) and the
-      // top-level plan reads them back.
-      PIXELS_ASSIGN_OR_RETURN(
-          part, RoundTripView(*part, options.intermediate_store,
-                              options.view_prefix + "." + std::to_string(w) +
-                                  ".pxl"));
+      // top-level plan reads them back. Nothing reads the object again,
+      // so it goes whether or not the round trip succeeded; deleting is
+      // best effort, since a leftover view is garbage, never a wrong
+      // result.
+      Storage* store = options.intermediate_store;
+      const std::string path =
+          options.view_prefix + "." + std::to_string(w) + ".pxl";
+      Result<TablePtr> restored = RoundTripView(*part, store, path);
+      if (store->Exists(path)) (void)store->Delete(path);
+      FooterCache::Shared()->Invalidate(store, path);
+      PIXELS_ASSIGN_OR_RETURN(part, std::move(restored));
     }
     // Commit the slot only on success: a failed attempt's partial scan
     // never reaches the billing counters. The same rule keeps profiles

@@ -131,11 +131,7 @@ Result<ExchangeWriteInfo> WriteExchangeObject(
       } else {
         auto merged = MakeVector(schema[c].type);
         merged->Reserve(rows);
-        for (const auto& b : part->batches()) {
-          for (size_t r = 0; r < b->num_rows(); ++r) {
-            merged->AppendFrom(*b->column(c), r);
-          }
-        }
+        for (const auto& b : part->batches()) merged->AppendAll(*b->column(c));
         cols[c] = std::move(merged);
       }
     }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sql/parser.h"
 
 namespace pixels {
@@ -79,6 +81,32 @@ TEST(ExpressionTest, IntegerDivisionAndModulo) {
   EXPECT_EQ((*r)->GetInt(1), 3);
   auto m = Eval("7 % 3", *batch);
   EXPECT_EQ((*m)->GetInt(0), 1);
+}
+
+TEST(ExpressionTest, IntegerOverflowWrapsInsteadOfTrapping) {
+  auto batch = std::make_shared<RowBatch>();
+  auto big = MakeVector(TypeId::kInt64);
+  big->AppendInt(std::numeric_limits<int64_t>::min());
+  big->AppendInt(std::numeric_limits<int64_t>::max());
+  batch->AddColumn("t.big", big);
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    const char* expr;
+    int64_t row0, row1;
+  };
+  for (const Case& c : {Case{"big / -1", kMin, -kMax}, Case{"big % -1", 0, 0},
+                        Case{"-big", kMin, -kMax}, Case{"big + 1", kMin + 1, kMin},
+                        Case{"big * 2", 0, -2}}) {
+    auto r = Eval(c.expr, *batch);
+    ASSERT_TRUE(r.ok()) << c.expr;
+    EXPECT_EQ((*r)->GetInt(0), c.row0) << c.expr;
+    EXPECT_EQ((*r)->GetInt(1), c.row1) << c.expr;
+    // One row at a time gives the same values.
+    auto e = ParseExpression(c.expr);
+    ASSERT_TRUE(e.ok());
+    EXPECT_EQ(EvaluateExprRow(**e, *batch, 0)->i, c.row0) << c.expr;
+  }
 }
 
 TEST(ExpressionTest, DivisionByZeroYieldsNull) {

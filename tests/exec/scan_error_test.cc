@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -73,21 +75,35 @@ class ScanErrorTest : public ::testing::Test {
 };
 
 TEST_F(ScanErrorTest, ParallelForSurfacesFirstErrorAndSkipsRest) {
-  ThreadPool pool(4);
+  // Three pool threads plus the caller claim bodies 0..3. Bodies 0..2
+  // block until a task queued by body 3 runs, and the pool reaches that
+  // task only after some runner of this loop finishes: the thread that
+  // ran body 3, once it has recorded the error and claimed every
+  // remaining body. So bodies 4..99 are all claimed after the error is
+  // recorded, on every schedule, and none of them may run.
+  ThreadPool pool(3);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
   std::atomic<int> executed{0};
+  std::atomic<int> ran_after_error{0};
   Status st = pool.ParallelFor(
       0, 100, 1,
       [&](size_t i) -> Status {
         executed.fetch_add(1);
-        if (i == 3) return Status::IOError("chunk " + std::to_string(i));
+        if (i > 3) ran_after_error.fetch_add(1);
+        if (i == 3) {
+          pool.Submit([&release] { release.set_value(); });
+          return Status::IOError("chunk " + std::to_string(i));
+        }
+        released.wait();
         return Status::OK();
       },
       4);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsIOError());
-  // First error wins and remaining chunks are skipped: strictly fewer
-  // than all 100 bodies ran.
-  EXPECT_LT(executed.load(), 100);
+  EXPECT_EQ(st.message(), "chunk 3");
+  EXPECT_EQ(ran_after_error.load(), 0);
+  EXPECT_LE(executed.load(), 4);
 
   // An all-OK run afterwards works on the same pool: no poisoned state.
   executed = 0;

@@ -8,6 +8,8 @@
 //    counts.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "exec/executor.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
@@ -210,6 +212,12 @@ struct PartialAggCase {
   const char* sql;
   int workers;
 };
+
+// Without this, gtest prints the case as raw bytes, which include the
+// address of `sql` and so change from run to run under ASLR.
+void PrintTo(const PartialAggCase& c, std::ostream* os) {
+  *os << "(workers=" << c.workers << ") " << c.sql;
+}
 
 class PartialAggPropertyTest
     : public ::testing::TestWithParam<PartialAggCase> {};

@@ -307,5 +307,36 @@ TEST(ParserTest, StandaloneExpressionRejectsTrailing) {
   EXPECT_FALSE(ParseExpression("1 + 2 extra").ok());
 }
 
+TEST(ParserTest, NestingDepthLimitRejectsInsteadOfOverflowing) {
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const int kLevels = 20000;
+  const std::string parens = repeat("(", kLevels) + "1" + repeat(")", kLevels);
+  const std::string deep[] = {
+      parens,
+      "SELECT " + parens + " FROM t",
+      repeat("NOT ", kLevels) + "x",
+      repeat("- ", kLevels) + "x",
+      "x" + repeat(" OR x", kLevels),
+      "x" + repeat(" + 1", kLevels),
+      repeat("abs(", kLevels) + "1" + repeat(")", kLevels),
+      repeat("CASE WHEN x THEN ", kLevels) + "1" + repeat(" END", kLevels),
+  };
+  for (const std::string& text : deep) {
+    Status st = text.rfind("SELECT", 0) == 0 ? ParseSelect(text).status()
+                                             : ParseExpression(text).status();
+    EXPECT_TRUE(st.IsInvalidArgument())
+        << text.substr(0, 40) << "...: " << st.ToString();
+  }
+  // Ordinary nesting well under the limit still parses.
+  auto ok = ParseExpression(repeat("(", 200) + "x + 1" + repeat(")", 200));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ((*ok)->ToString(), "(x + 1)");
+  EXPECT_TRUE(ParseExpression("x" + repeat(" AND x", 200)).ok());
+}
+
 }  // namespace
 }  // namespace pixels

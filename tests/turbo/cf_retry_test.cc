@@ -139,6 +139,54 @@ TEST_F(CfRetryTest, ExhaustionFailsQueryWhenFallbackDisabled) {
             std::string::npos);
 }
 
+TEST_F(CfRetryTest, WorkerViewsAreDeletedAfterSuccessRetryAndFailure) {
+  auto options = FleetOptions();
+  options.intermediate_store = switchable_.get();
+  options.view_prefix = "intermediate/q7";
+  auto views_left = [&] {
+    auto listed = mem_->List(options.view_prefix);
+    EXPECT_TRUE(listed.ok());
+    return listed.ok() ? listed->size() : 0u;
+  };
+  auto no_store = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(),
+                                        FleetOptions());
+  ASSERT_TRUE(no_store.ok()) << no_store.status().ToString();
+
+  // Success: every worker's view is written, read back, then deleted;
+  // the round trip bills nothing.
+  auto clean = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(), options);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_GT(clean->workers_used, 1);
+  EXPECT_EQ(views_left(), 0u);
+  EXPECT_EQ(Rows(*clean->result), Rows(*no_store->result));
+  EXPECT_EQ(clean->bytes_scanned, no_store->bytes_scanned);
+
+  // Retried: the first view read-back fails after the write; the failed
+  // attempt's object goes too.
+  FaultInjectionParams once;
+  FaultRule rule;
+  rule.path_substring = "intermediate/";
+  rule.fail_first_reads = 1;
+  once.rules.push_back(rule);
+  InjectFaults(once);
+  auto retried = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(), options);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried->worker_retries, 1);
+  EXPECT_EQ(views_left(), 0u);
+  EXPECT_EQ(Rows(*retried->result), Rows(*clean->result));
+  EXPECT_EQ(retried->bytes_scanned, clean->bytes_scanned);
+
+  // Failed: every read-back fails and there is no fallback.
+  FaultInjectionParams always = once;
+  always.rules[0].fail_first_reads = 1000;
+  InjectFaults(always);
+  options.max_worker_attempts = 2;
+  options.vm_fallback = false;
+  auto failed = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(), options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(views_left(), 0u);
+}
+
 TEST_F(CfRetryTest, PermanentErrorFailsWithoutRetry) {
   // Remove a data object: NotFound is permanent, so the fleet must not
   // burn its re-invocation budget before failing the query.

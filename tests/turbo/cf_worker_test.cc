@@ -5,6 +5,7 @@
 #include "exec/executor.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
+#include "storage/fault_injection.h"
 #include "testing/test_db.h"
 #include "workload/tpch.h"
 
@@ -86,18 +87,24 @@ TEST_F(CfWorkerTest, PushdownWithIntermediateStore) {
   const std::string sql = "SELECT dept, avg(salary) FROM emp GROUP BY dept "
                           "ORDER BY dept";
   auto direct = Direct(sql, catalog_.get(), "db");
+  // A pass-through decorator that counts the views' writes and deletes.
+  FaultInjectingStorage counted(
+      std::shared_ptr<Storage>(catalog_->storage(), [](Storage*) {}), {});
   CfWorkerOptions options;
   options.num_workers = 2;
-  options.intermediate_store = catalog_->storage();
+  options.intermediate_store = &counted;
   options.view_prefix = "intermediate/test";
   auto exec = ExecuteWithCfPushdown(Plan(sql, catalog_.get(), "db"),
                                     catalog_.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   EXPECT_EQ(Rows(*direct), Rows(*exec->result));
-  // The worker's view landed in object storage.
+  // The workers' views went through object storage (a write and a delete
+  // each) and none is left behind.
+  EXPECT_GE(counted.stats().write_ops, 2u);
+  EXPECT_EQ(counted.stats().write_ops % 2, 0u);
   auto files = catalog_->storage()->List("intermediate/test");
   ASSERT_TRUE(files.ok());
-  EXPECT_GE(files->size(), 1u);
+  EXPECT_TRUE(files->empty());
 }
 
 TEST_F(CfWorkerTest, NoPushableSubtreeFallsBack) {
@@ -186,13 +193,14 @@ TEST_F(CfWorkerTest, ConcurrentFleetMatchesSerialFleet) {
   EXPECT_EQ(parallel->workers_used, serial->workers_used);
   EXPECT_EQ(Rows(*serial->result), Rows(*parallel->result));
   EXPECT_EQ(serial->bytes_scanned, parallel->bytes_scanned);
-  // Both fleets report per-worker wall times and views made it to storage.
+  // Both fleets report per-worker wall times, and both delete their views
+  // once read back.
   ASSERT_EQ(parallel->worker_elapsed_seconds.size(),
             static_cast<size_t>(parallel->workers_used));
   for (double t : parallel->worker_elapsed_seconds) EXPECT_GE(t, 0.0);
-  auto views = storage->List("intermediate/parallel");
+  auto views = storage->List("intermediate/");
   ASSERT_TRUE(views.ok());
-  EXPECT_EQ(views->size(), static_cast<size_t>(parallel->workers_used));
+  EXPECT_TRUE(views->empty());
 }
 
 TEST_F(CfWorkerTest, WorkEstimateDerivedFromBytes) {
